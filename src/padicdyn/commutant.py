@@ -19,13 +19,22 @@ series or a witness index where no integral continuation exists.
 The integral solver canonicalizes each stored digit to its trustworthy
 precision (digit j is known mod p^(N-j+1)), zeroing the garbage above
 it.  That keeps runs deterministic and makes certificates comparable
-across independent recomputations.
+across independent recomputations.  It also never recomposes f(z_k)
+in full: coefficient n of z^i (i >= 2) involves only digits below n, so
+an online table of the powers z^i, i <= deg f, grows one degree per
+step and the numerator is read off it (online evaluation in the sense
+of van der Hoeven, "Relax, but don't be too lazy", 2002).  Step n costs
+about n * min(deg f, n) products, so the f(z_k) side of a run is O(K^3)
+for a dense f and O(K^2) for a few-term f, against O(K^4) for one
+Horner composition per step; the z_k(f) side keeps its O(K^3) running
+powers of f.  The float commutant still recomposes at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import PreconditionError, PrecisionError
 from .padic import INFINITE, PadicNumber, primitive_torsion_root, vp
@@ -34,7 +43,6 @@ from .series import (
     RING_INTEGRAL,
     PowerSeries,
     _compose_dense_f,
-    _compose_dense_mod,
     _mul_dense_f,
     _mul_dense_mod,
 )
@@ -167,6 +175,20 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
     index k marks the first step whose numerator is a unit, so division
     by the valuation-one denominator leaves Z_p -- rigorous because the
     numerator's low digit is inside its trustworthy precision.
+
+    The f∘z side of the numerator is evaluated online: a table keeps
+    zp[i][n] = [x^n] z^i for 2 <= i <= deg f, one degree per step.  For
+    i >= 2 that coefficient involves only the digits d_1 .. d_(n-i+1),
+    all fixed before step n, so
+
+        zp[i][n] = sum_{j=1}^{n-i+1} d_j * zp[i-1][n-j],   zp[1] = digits
+
+    and [x^n] f(z_k) = sum_{i=2}^{min(deg f, n)} f_i * zp[i][n].  Step n
+    costs about n * min(deg f, n) products: n^2/2 for a dense conjugate,
+    O(n) for a few-term f such as 2x + x^2.  The z∘f side keeps the
+    powers f^k and the running sum z_k∘f, O(K^2) per step.  Everything
+    is exact mod p^N, so digits, ledger and witness are those of
+    recomposing f(z_k) in full at every step.
     """
     ctx = f.ctx
     p, N, K, m = ctx.p, ctx.N, ctx.K, ctx.modulus
@@ -177,11 +199,12 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
             "valuation exactly one"
         )
     fd = [0] + list(f.coeffs)
+    deg = max(i for i, c in enumerate(fd) if c)
     digits = [0] * (K + 1)
     precs = [0] * (K + 1)
     digits[1] = d1 % m
     precs[1] = N
-    zterms = [(1, digits[1])] if digits[1] else []
+    zp = [None, digits] + [[0] * (K + 1) for _ in range(2, deg + 1)]
     power = fd[:]                               # f^k while building digit k+1
     s_of_f = [c * digits[1] % m for c in fd]    # z_k∘f so far
     m1 = m // p
@@ -191,22 +214,27 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
                 f"numerator at step {k + 1} retains no trustworthy digits; "
                 "increase N"
             )
-        fz = _compose_dense_mod(fd, zterms, k + 1, m)
-        nu = (fz[k + 1] - s_of_f[k + 1]) % m
+        n = k + 1
+        fz = 0
+        for i in range(2, min(deg, n) + 1):
+            # digits[1 : n-i+2] against zp[i-1][n-1], ..., zp[i-1][i-1]
+            c = sum(map(mul, digits[1:n - i + 2], zp[i - 1][n - 1:i - 2:-1])) % m
+            zp[i][n] = c
+            fz += fd[i] * c
+        nu = (fz - s_of_f[n]) % m
         if nu % p:
-            return digits, precs, k + 1, nu % p
-        den = (pow(a1, k + 1, m) - a1) % m
+            return digits, precs, n, nu % p
+        den = (pow(a1, n, m) - a1) % m
         w = den // p                            # denominator = p * unit, exactly
         d = (nu // p) * pow(w, -1, m1) % m1
         prec = N - k
         d %= p ** prec
-        digits[k + 1] = d
-        precs[k + 1] = prec
-        if k + 1 < K:
+        digits[n] = d
+        precs[n] = prec
+        if n < K:
             power = _mul_dense_mod(power, fd, K, m)
             if d:
-                zterms.append((k + 1, d))
-                for j in range(k + 1, K + 1):
+                for j in range(n, K + 1):
                     s_of_f[j] = (s_of_f[j] + d * power[j]) % m
     return digits, precs, None, None
 

@@ -99,12 +99,21 @@ class PrimeContext:
 
     @classmethod
     def from_json(cls, obj) -> "PrimeContext":
-        return cls(int(obj["p"]), int(obj["N"]), int(obj["K"]))
+        return cls(strict_int(obj["p"]), strict_int(obj["N"]), strict_int(obj["K"]))
+
+
+def strict_int(x) -> int:
+    """An integer field as read from JSON: an int or a decimal string
+    (the form units are written in).  bool and float are refused, never
+    truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"expected an integer, got {type(x).__name__} {x!r}")
+    return int(x)
 
 
 def _as_exp(x):
     """Precision/valuation fields are ints or INFINITE."""
-    return x if x is INFINITE else int(x)
+    return x if x is INFINITE or type(x) is int else strict_int(x)
 
 
 class PadicNumber:
@@ -386,11 +395,11 @@ class PadicNumber:
     def from_json(cls, ctx, obj) -> "PadicNumber":
         v = obj["v"]
         prec = obj["prec"]
-        v = INFINITE if v == "inf" else int(v)
-        prec = INFINITE if prec == "inf" else int(prec)
+        v = INFINITE if v == "inf" else _as_exp(v)
+        prec = INFINITE if prec == "inf" else _as_exp(prec)
         if v is INFINITE:
             return cls.zero_at(ctx, prec)
-        return cls.make(ctx, v, int(obj["u"]), prec)
+        return cls.make(ctx, v, strict_int(obj["u"]), prec)
 
 
 def teichmuller(ctx: PrimeContext, c: int) -> PadicNumber:

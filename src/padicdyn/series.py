@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PrecisionError
-from .padic import PadicNumber, PrimeContext
+from .padic import PadicNumber, PrimeContext, strict_int
 
 RING_INTEGRAL = "integral"
 RING_FLOAT = "float"
@@ -65,6 +65,8 @@ def _compose_dense_mod(outer, terms, limit, m):
     evaluation at O(limit^2 * nnz(inner)) instead of worse.
     """
     T = min(len(outer) - 1, limit)
+    while T >= 0 and not outer[T] % m:
+        T -= 1                                  # zero top terms add nothing
     if T < 0:
         return [0] * (limit + 1)
     acc = [outer[T] % m]
@@ -157,6 +159,8 @@ def _mul_sparse_f(ctx, acc, terms, limit):
 def _compose_dense_f(ctx, outer, terms, limit):
     zero = PadicNumber.exact_zero(ctx)
     T = min(len(outer) - 1, limit)
+    while T >= 0 and outer[T].is_exact_zero:
+        T -= 1                                  # a zero at precision must stay
     if T < 0:
         return [zero] * (limit + 1)
     acc = [outer[T]]
@@ -617,11 +621,11 @@ class PowerSeries:
             raise PreconditionError(f"unknown coefficient ring {ring!r}")
         raw = obj["coeffs"]
         if ring == RING_RESIDUE:
-            return cls(ctx, ring, [int(c) for c in raw])
+            return cls(ctx, ring, [strict_int(c) for c in raw])
         cs = []
         for c in raw:
             if isinstance(c, dict):
                 cs.append(PadicNumber.from_json(ctx, c))
             else:
-                cs.append(int(c))
+                cs.append(strict_int(c))
         return cls(ctx, ring, cs)

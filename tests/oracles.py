@@ -73,6 +73,35 @@ def poly_compose_mod(outer, inner, m, limit):
     return out
 
 
+def commutant_recursion_mod(fcoeffs, d1, p, N, K):
+    """The integral torsion recursion with both sides recomposed in full
+    at every step: the numerator at degree n = k+1 is read off
+    f(z_k) - z_k(f), each a fresh composition.  Digit n is stored mod
+    p^(N-k).  Returns (digits, precs, witness, residue) with digits and
+    precs indexed by degree (slot 0 unused), witness the first degree
+    whose numerator is a unit and residue that numerator mod p."""
+    m = p ** N
+    fd = [0] + [c % m for c in fcoeffs]
+    fd += [0] * (K + 1 - len(fd))
+    digits = [0] * (K + 1)
+    precs = [0] * (K + 1)
+    digits[1] = d1 % m
+    precs[1] = N
+    a1 = fd[1]
+    for k in range(1, K):
+        n = k + 1
+        z = digits[:n]
+        nu = (poly_compose_mod(fd[:n + 1], z, m, n)[n]
+              - poly_compose_mod(z, fd, m, n)[n]) % m
+        if nu % p:
+            return digits, precs, n, nu % p
+        den = (pow(a1, n, m) - a1) % m
+        d = (nu // p) * pow(den // p, -1, m // p) % (m // p)
+        digits[n] = d % p ** (N - k)
+        precs[n] = N - k
+    return digits, precs, None, None
+
+
 def gift_wrap_lower_hull(points):
     """Strict vertices of the lower convex hull, by angular scan: from
     the leftmost-lowest point repeatedly take the least slope, breaking

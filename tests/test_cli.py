@@ -1,8 +1,19 @@
 """End-to-end CLI checks through subprocess: exit codes, JSON shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import padicdyn
+
+# the child process imports the same package the tests do
+_SRC = str(Path(padicdyn.__file__).resolve().parents[1])
+_ENV = {**os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*argv, stdin_text=None):
@@ -12,6 +23,7 @@ def run_cli(*argv, stdin_text=None):
         text=True,
         input=stdin_text,
         timeout=120,
+        env=_ENV,
     )
     return proc
 
@@ -103,6 +115,19 @@ def test_exit_one_on_incomplete_context():
                    "--json", '{"series": [1, 1]}')
     assert proc.returncode == 1
     assert "missing" in parse(proc)["error"]["message"]
+
+
+@pytest.mark.parametrize("payload", [
+    '{"ctx": {"p": 2.9, "N": 8, "K": 8}, "series": [0, 1]}',
+    '{"ctx": {"p": 2, "N": 8, "K": 8}, "series": [0, 1.7]}',
+    '{"ctx": {"p": true, "N": 8, "K": 8}, "series": [0, 1]}',
+])
+def test_exit_one_on_non_integer_field(payload):
+    # truncating 2.9 to 2 or 1.7 to 1, or reading true as 1, would compute
+    # on an input nobody gave
+    proc = run_cli("wideg", "--json", payload)
+    assert proc.returncode == 1
+    assert parse(proc)["error"]["code"] == "input"
 
 
 def test_exit_two_on_precision_failure():

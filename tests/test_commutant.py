@@ -15,10 +15,16 @@ from padicdyn import (
     RING_RESIDUE,
     certify_torsion,
     commutant,
+    conjugate_pair,
     gm_endomorphism,
+    gm_minimal_pair,
     linearize,
     primitive_torsion_root,
+    seeded_conjugator,
 )
+from padicdyn.commutant import _solve_commutant_integral
+
+from oracles import commutant_recursion_mod
 
 
 def test_linearize_log_oracle():
@@ -178,3 +184,49 @@ def test_linearize_budget_failure():
     f = gm_endomorphism(ctx, 3)
     with pytest.raises(PrecisionError):
         linearize(f)
+
+
+def _assert_solver_matches_reference(f, d1):
+    ctx = f.ctx
+    want = commutant_recursion_mod(list(f.coeffs), d1, ctx.p, ctx.N, ctx.K)
+    assert _solve_commutant_integral(f, d1) == want
+    return want
+
+
+@pytest.mark.parametrize("p,N,K,seeds", [
+    (2, 40, 24, (1, 2, 3)),
+    (3, 36, 24, (1, 2)),
+    (5, 24, 14, (1, 2)),
+])
+def test_solver_matches_full_recomposition_on_conjugated_pairs(p, N, K, seeds):
+    # dense f: every power z^i up to K enters the numerator
+    ctx = PrimeContext(p, N, K)
+    f, u = gm_minimal_pair(ctx)
+    d1 = primitive_torsion_root(ctx).integer_residue(N)
+    _assert_solver_matches_reference(f, d1)
+    for seed in seeds:
+        fc, _uc = conjugate_pair(f, u, seeded_conjugator(ctx, seed))
+        digits, precs, witness, _res = _assert_solver_matches_reference(fc, d1)
+        assert witness is None
+        assert precs[1:] == [N] + [N - k for k in range(1, K)]
+        assert any(digits[K // 2:])
+
+
+def test_solver_matches_full_recomposition_few_term():
+    ctx = PrimeContext(2, 56, 48)
+    f = PowerSeries(ctx, RING_INTEGRAL, [2, 1])
+    _digits, _precs, witness, _res = _assert_solver_matches_reference(f, -1)
+    assert witness is None
+
+
+@pytest.mark.parametrize("coeffs,index", [
+    ([2, 1, 1], 4),
+    ([2, 1, 0, 1], 8),
+    ([6, 1, 1], 4),
+])
+def test_solver_matches_full_recomposition_at_witness(coeffs, index):
+    ctx = PrimeContext(2, 40, 24)
+    f = PowerSeries(ctx, RING_INTEGRAL, coeffs)
+    _digits, _precs, witness, residue = _assert_solver_matches_reference(f, -1)
+    assert witness == index
+    assert residue == 1

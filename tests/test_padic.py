@@ -216,6 +216,17 @@ def test_json_roundtrip():
     assert PrimeContext.from_json(ctx.to_json()) == ctx
 
 
+@pytest.mark.parametrize("obj", [
+    {"v": 0, "u": "1", "prec": 2.5},
+    {"v": "inf", "u": "0", "prec": 2.5},
+    {"v": True, "u": "1", "prec": 3},
+    {"v": 0, "u": 1.5, "prec": 3},
+])
+def test_json_refuses_non_integer_fields(obj):
+    with pytest.raises(TypeError):
+        PadicNumber.from_json(PrimeContext(3, 9, 4), obj)
+
+
 def test_random_field_laws():
     rng = random.Random(20260819)
     for p in (2, 3, 5):
