@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import PadicDynError
-from .padic import PadicNumber, PrimeContext, primitive_torsion_root
+from .padic import PadicNumber, PrimeContext, exponent_to_json, primitive_torsion_root
 from .series import RING_FLOAT, RING_INTEGRAL, RING_RESIDUE, PowerSeries
 from .newton import (
     negative_part,
@@ -128,6 +128,14 @@ def _need(payload, key):
     return payload[key]
 
 
+def _int_field(value, message, minimum=None):
+    """The one reader of payload integers: bool, float and string values
+    exit 1 with message instead of being coerced."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        raise InputError(message)
+    return value
+
+
 def _series_ctx(spec, ambient):
     embedded = None
     if isinstance(spec, dict) and "ctx" in spec:
@@ -153,9 +161,7 @@ def _series_from_spec(spec, ambient, default_ring=RING_INTEGRAL):
     if ring not in RINGS:
         raise InputError(f"unknown ring '{ring}'")
     if "binom" in spec:
-        exponent = spec["binom"]
-        if not isinstance(exponent, int):
-            raise InputError("binom exponent must be an integer")
+        exponent = _int_field(spec["binom"], "binom exponent must be an integer")
         from .oracle import gm_endomorphism
 
         series = gm_endomorphism(ctx, exponent)
@@ -177,9 +183,8 @@ def _series_from_spec(spec, ambient, default_ring=RING_INTEGRAL):
         raise InputError("series needs 'coeffs' or 'binom'")
     n = spec.get("iterate")
     if n is not None:
-        if not isinstance(n, int) or n < 0:
-            raise InputError("iterate must be a nonnegative integer")
-        series = series.iterate(n)
+        series = series.iterate(
+            _int_field(n, "iterate must be a nonnegative integer", 0))
     if spec.get("minus_x"):
         series = series - PowerSeries.identity(ctx, series.ring)
     return series
@@ -227,7 +232,7 @@ def _cmd_wideg(ctx, payload, args):
                                default_ring=RING_RESIDUE)
     d = weierstrass_degree(series)
     return {
-        "wideg": d if d is not None else "undetermined",
+        "wideg": exponent_to_json(d),
         "truncation": series.ctx.K,
     }
 
@@ -253,27 +258,24 @@ def _cmd_torsion_check(ctx, payload, args):
     u = payload.get("u")
     if u is not None:
         u = _series_from_spec(u, ctx)
-    margin = payload.get("min_output_precision", 8)
-    if not isinstance(margin, int) or margin < 1:
-        raise InputError("min_output_precision must be a positive integer")
+    margin = _int_field(payload.get("min_output_precision", 8),
+                        "min_output_precision must be a positive integer", 1)
     return certify_torsion(f, u, min_output_precision=margin).to_json()
 
 
 def _cmd_ramification(ctx, payload, args):
     omega = _series_from_spec(_need(payload, "omega"), ctx,
                               default_ring=RING_RESIDUE)
-    n_max = payload.get("n_max", 2)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InputError("n_max must be a nonnegative integer")
+    n_max = _int_field(payload.get("n_max", 2),
+                       "n_max must be a nonnegative integer", 0)
     return lower_ramification(omega, n_max=n_max).to_json()
 
 
 def _cmd_order(ctx, payload, args):
     omega = _series_from_spec(_need(payload, "omega"), ctx,
                               default_ring=RING_RESIDUE)
-    d_max = payload.get("d_max", 4)
-    if not isinstance(d_max, int) or d_max < 0:
-        raise InputError("d_max must be a nonnegative integer")
+    d_max = _int_field(payload.get("d_max", 4),
+                       "d_max must be a nonnegative integer", 0)
     if omega.linear == 1:
         result = nottingham_order(omega, d_max=d_max)
         kind = "nottingham"
@@ -290,21 +292,17 @@ def _cmd_normalizer(ctx, payload, args):
                               default_ring=RING_RESIDUE)
     omega = _series_from_spec(_need(payload, "omega"), ctx,
                               default_ring=RING_RESIDUE)
-    m = payload.get("m", 3)
-    if not isinstance(m, int) or m < 1:
-        raise InputError("m must be a positive integer")
+    m = _int_field(payload.get("m", 3), "m must be a positive integer", 1)
     return normalizer_witness(theta, omega, m=m).to_json()
 
 
 def _cmd_lambda_check(ctx, payload, args):
     f = _series_from_spec(_need(payload, "f"), ctx)
     u = _series_from_spec(_need(payload, "u"), ctx)
-    n = _need(payload, "n")
-    if not isinstance(n, int):
-        raise InputError("n must be an integer")
+    n = _int_field(_need(payload, "n"), "n must be an integer")
     delta = payload.get("delta")
-    if delta is not None and not isinstance(delta, int):
-        raise InputError("delta must be an integer")
+    if delta is not None:
+        delta = _int_field(delta, "delta must be an integer")
     return compare_root_polygons(f, u, n, delta=delta).to_json()
 
 
@@ -320,10 +318,7 @@ def _cmd_gen_pair(ctx, payload, args):
         provenance = {"kind": "lt"}
     elif kind == "conjugated":
         seed = payload.get("seed", args.seed)
-        if seed is None:
-            seed = 0
-        if not isinstance(seed, int):
-            raise InputError("seed must be an integer")
+        seed = _int_field(0 if seed is None else seed, "seed must be an integer")
         h = seeded_conjugator(ctx, seed)
         f, u = conjugate_pair(*gm_minimal_pair(ctx), h)
         provenance = {"kind": "conjugated", "seed": seed}
@@ -336,18 +331,17 @@ def _cmd_validate_pair(ctx, payload, args):
     f = _series_from_spec(_need(payload, "f"), ctx)
     u = _series_from_spec(_need(payload, "u"), ctx)
     mod = payload.get("commute_mod")
-    if mod is not None and not isinstance(mod, int):
-        raise InputError("commute_mod must be an integer")
+    if mod is not None:
+        mod = _int_field(mod, "commute_mod must be an integer")
     return validate_minimal_pair(f, u, commute_mod=mod).to_json()
 
 
 def _cmd_zp_iterate(ctx, payload, args):
     omega = _series_from_spec(_need(payload, "omega"), ctx,
                               default_ring=RING_RESIDUE)
-    a = _need(payload, "a")
-    m = _need(payload, "m")
-    if not isinstance(a, int) or not isinstance(m, int) or m < 0:
-        raise InputError("a must be an integer and m a nonnegative integer")
+    message = "a must be an integer and m a nonnegative integer"
+    a = _int_field(_need(payload, "a"), message)
+    m = _int_field(_need(payload, "m"), message, 0)
     result = zp_iterate(omega, a, m)
     pm = omega.ctx.p ** m
     return {"series": result.to_json(), "a_mod": a % pm, "m": m}

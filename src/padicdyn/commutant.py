@@ -26,8 +26,10 @@ step and the numerator is read off it (online evaluation in the sense
 of van der Hoeven, "Relax, but don't be too lazy", 2002).  Step n costs
 about n * min(deg f, n) products, so the f(z_k) side of a run is O(K^3)
 for a dense f and O(K^2) for a few-term f, against O(K^4) for one
-Horner composition per step; the z_k(f) side keeps its O(K^3) running
-powers of f.  The float commutant still recomposes at every step.
+Horner composition per step.  The z_k(f) side keeps the running powers
+of f, one Kronecker-packed product per step for a dense f and a sparse
+O(K) one for a few-term f, plus an O(K) update of the running sum.  The
+float commutant still recomposes at every step.
 """
 
 from __future__ import annotations
@@ -37,14 +39,16 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import PreconditionError, PrecisionError
-from .padic import INFINITE, PadicNumber, primitive_torsion_root, vp
+from .padic import PadicNumber, exponent_to_json, primitive_torsion_root, vp
 from .series import (
     RING_FLOAT,
     RING_INTEGRAL,
     PowerSeries,
+    _SPARSE_TERMS,
     _compose_dense_f,
     _mul_dense_f,
     _mul_dense_mod,
+    _mul_sparse_mod,
 )
 from .newton import weierstrass_degree
 
@@ -84,7 +88,7 @@ class Linearization:
     valuation_profile: tuple
 
     def to_json(self):
-        prof = ["inf" if v is INFINITE else v for v in self.valuation_profile]
+        prof = [exponent_to_json(v) for v in self.valuation_profile]
         return {"series": self.series.to_json(), "valuation_profile": prof}
 
 
@@ -186,7 +190,8 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
     and [x^n] f(z_k) = sum_{i=2}^{min(deg f, n)} f_i * zp[i][n].  Step n
     costs about n * min(deg f, n) products: n^2/2 for a dense conjugate,
     O(n) for a few-term f such as 2x + x^2.  The z∘f side keeps the
-    powers f^k and the running sum z_k∘f, O(K^2) per step.  Everything
+    powers f^k, one packed product per step (a sparse one when f has
+    at most _SPARSE_TERMS terms), and the running sum z_k∘f.  Everything
     is exact mod p^N, so digits, ledger and witness are those of
     recomposing f(z_k) in full at every step.
     """
@@ -199,7 +204,10 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
             "valuation exactly one"
         )
     fd = [0] + list(f.coeffs)
-    deg = max(i for i, c in enumerate(fd) if c)
+    fterms = [(i, c) for i, c in enumerate(fd) if c]
+    deg = fterms[-1][0]
+    if len(fterms) > _SPARSE_TERMS:
+        fterms = None                           # dense f: packed products
     digits = [0] * (K + 1)
     precs = [0] * (K + 1)
     digits[1] = d1 % m
@@ -232,7 +240,8 @@ def _solve_commutant_integral(f: PowerSeries, d1: int):
         digits[n] = d
         precs[n] = prec
         if n < K:
-            power = _mul_dense_mod(power, fd, K, m)
+            power = (_mul_dense_mod(power, fd, K, m) if fterms is None
+                     else _mul_sparse_mod(power, fterms, K, m))
             if d:
                 for j in range(n, K + 1):
                     s_of_f[j] = (s_of_f[j] + d * power[j]) % m

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleIntegrityError, PreconditionError, PrecisionError
-from .padic import INFINITE, PadicNumber, PrimeContext, vp
+from .padic import PadicNumber, PrimeContext, exponent_to_json, vp
 from .series import RING_INTEGRAL, PowerSeries
 from .newton import weierstrass_degree
 from .commutant import _solve_commutant_integral
@@ -174,17 +174,10 @@ class MinimalPairReport:
         return "; ".join(parts)
 
     def to_json(self):
-        def enc(v):
-            if v is None:
-                return "undetermined"
-            if v is INFINITE:
-                return "inf"
-            return v
-
         return {
-            "wideg_f": enc(self.wideg_f),
-            "v_f_prime": enc(self.v_f_prime),
-            "v_u_shift": enc(self.v_u_shift),
+            "wideg_f": exponent_to_json(self.wideg_f),
+            "v_f_prime": exponent_to_json(self.v_f_prime),
+            "v_u_shift": exponent_to_json(self.v_u_shift),
             "commutes": self.commutes,
             "commute_modulus": self.commute_modulus,
             "first_mismatch": self.first_mismatch,

@@ -116,6 +116,16 @@ def _as_exp(x):
     return x if x is INFINITE or type(x) is int else strict_int(x)
 
 
+def exponent_to_json(v):
+    """A valuation or index for JSON: None (not decided within the
+    truncation) is "undetermined", INFINITE is "inf"."""
+    if v is None:
+        return "undetermined"
+    if v is INFINITE:
+        return "inf"
+    return v
+
+
 class PadicNumber:
     """An element of Q_p known to finite precision.
 

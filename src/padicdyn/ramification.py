@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, PrecisionError
-from .padic import INFINITE
+from .padic import INFINITE, exponent_to_json
 from .series import RING_RESIDUE, PowerSeries
 
 
@@ -52,18 +52,11 @@ class RamificationProfile:
     truncation: int
 
     def to_json(self):
-        def enc(v):
-            if v is None:
-                return "undetermined"
-            if v is INFINITE:
-                return "inf"
-            return v
-
         return {
-            "i": [enc(v) for v in self.i_seq],
+            "i": [exponent_to_json(v) for v in self.i_seq],
             "sen": list(self.sen),
             "e_estimates": [str(q) for q in self.e_estimates],
-            "e": self.e_reported if self.e_reported is not None else "undetermined",
+            "e": exponent_to_json(self.e_reported),
             "identity": self.identity,
             "truncation": self.truncation,
         }

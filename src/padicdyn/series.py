@@ -19,12 +19,22 @@ under a single modulus, and float, for PadicNumber coefficients.  In the
 float kernels only *exact* zeros may be skipped; a zero-at-precision
 value must flow through products and sums because it caps the precision
 of everything it touches.
+
+The modular kernels hand the arithmetic to CPython's bigint multiply.
+A dense product packs each residue list into one integer, a slot of
+whole bytes per coefficient wide enough that no slot sum carries
+(Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), multiplies
+once and reads the low slots back.  Composition runs Brent and Kung's
+baby steps and giant steps (J. ACM 25, 1978) on that product, and keeps
+sparse Horner for a linear outer series or an inner one with at most
+_SPARSE_TERMS terms, where it is faster.  Both stay exact mod m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import PreconditionError, PrecisionError
 from .padic import PadicNumber, PrimeContext, strict_int
@@ -34,6 +44,8 @@ RING_FLOAT = "float"
 RING_RESIDUE = "residue"
 
 _RINGS = (RING_INTEGRAL, RING_FLOAT, RING_RESIDUE)
+
+_SPARSE_TERMS = 4     # sparse products up to this many terms (measured crossover)
 
 
 # ---------------------------------------------------------------------------
@@ -56,41 +68,78 @@ def _mul_sparse_mod(acc, terms, limit, m):
     return out
 
 
-def _compose_dense_mod(outer, terms, limit, m):
-    """Horner evaluation of outer (dense, constant allowed) at the sparse
-    inner series terms (all degrees >= 1), truncated at x^limit.
+def _slot_bytes(n, m):
+    """Bytes per packed slot that hold a sum of n products of residues
+    mod m without carrying into the next slot."""
+    return ((max(n, 1) * (m - 1) ** 2).bit_length() + 7) // 8
 
-    The partial value that still gets multiplied by inner i more times
-    only needs degrees up to limit - i, which is what keeps the whole
-    evaluation at O(limit^2 * nnz(inner)) instead of worse.
+
+def _pack(a, w, m):
+    """Kronecker substitution x -> 2^(8w): the residues of a, one w-byte
+    slot each, lowest degree first, read as a single integer."""
+    return int.from_bytes(b"".join([(c % m).to_bytes(w, "little") for c in a]), "little")
+
+
+def _unpack(n, w, slots, m):
+    """The first `slots` slots of a packed integer, each reduced mod m.
+    Masking instead of n % 2^k keeps this free of long division."""
+    size = w * slots
+    buf = (n & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    if w == 1:
+        return [c % m for c in buf]
+    return [int.from_bytes(buf[i:i + w], "little") % m for i in range(0, size, w)]
+
+
+def _mul_dense_mod(a, b, limit, m):
+    """a times b (dense, 0-indexed) truncated at x^limit: pack, one
+    bigint multiply, unpack."""
+    a, b = a[:limit + 1], b[:limit + 1]
+    w = _slot_bytes(min(len(a), len(b)), m)
+    return _unpack(_pack(a, w, m) * _pack(b, w, m), w, limit + 1, m)
+
+
+def _compose_dense_mod(outer, terms, limit, m):
+    """outer (dense, constant allowed) evaluated at the sparse inner
+    series terms (sorted, all degrees >= 1), truncated at x^limit.
+
+    A linear outer series or an inner one with at most _SPARSE_TERMS
+    terms goes through sparse Horner, O(limit * T * nnz(inner)) for
+    outer degree T.  Otherwise baby steps and giant steps: the powers
+    g^0 .. g^(s-1), s about sqrt(T/2), are packed once in slots wide
+    enough for a full product plus an s-term block sum; each block of s
+    outer coefficients is then a sum of scalar times packed power, and
+    Horner runs in G = g^s with one packed multiply per block.  G has
+    valuation s, so the value at block j only needs degrees up to limit
+    - j, and the early giant steps are short products.
     """
     T = min(len(outer) - 1, limit)
     while T >= 0 and not outer[T] % m:
         T -= 1                                  # zero top terms add nothing
     if T < 0:
         return [0] * (limit + 1)
-    acc = [outer[T] % m]
-    for i in range(T - 1, -1, -1):
-        acc = _mul_sparse_mod(acc, terms, limit - i, m)
-        acc[0] = (acc[0] + outer[i]) % m
-    if len(acc) < limit + 1:
-        acc = acc + [0] * (limit + 1 - len(acc))
-    return acc
-
-
-def _mul_dense_mod(a, b, limit, m):
-    out = [0] * (limit + 1)
-    for i, ai in enumerate(a):
-        if i > limit:
-            break
-        if not ai:
-            continue
-        top = limit - i
-        for j, bj in enumerate(b):
-            if j > top:
-                break
-            if bj:
-                out[i + j] = (out[i + j] + ai * bj) % m
+    if T <= 1 or len(terms) <= _SPARSE_TERMS:
+        acc = [outer[T] % m]
+        for i in range(T - 1, -1, -1):
+            acc = _mul_sparse_mod(acc, terms, limit - i, m)
+            acc[0] = (acc[0] + outer[i]) % m
+        return acc + [0] * (limit + 1 - len(acc))
+    g = [0] * (limit + 1)
+    for e, c in terms:
+        if e <= limit:
+            g[e] = c
+    s = isqrt(T // 2) or 1
+    powers = [[1], g]
+    while len(powers) <= s:
+        powers.append(_mul_dense_mod(powers[-1], g, limit, m))
+    w = _slot_bytes(limit + 1 + s, m)
+    G = _pack(powers.pop(), w, m)
+    baby = [_pack(q, w, m) for q in powers]
+    acc = 0
+    for j in range(T // s * s, -1, -s):
+        blk = sum(c % m * P for c, P in zip(outer[j:min(j + s, T + 1)], baby))
+        out = _unpack(acc * (G & ((1 << 8 * w * (limit + 1 - j)) - 1)) + blk,
+                      w, limit + 1 - j, m)
+        acc = _pack(out, w, m)
     return out
 
 

@@ -73,6 +73,16 @@ def poly_compose_mod(outer, inner, m, limit):
     return out
 
 
+def poly_horner_mod(outer, inner, m, limit):
+    """outer(inner) by Horner's rule, one full dense product per
+    coefficient of outer."""
+    acc = [0] * (limit + 1)
+    for c in reversed(outer):
+        acc = poly_mul_mod(acc, inner, m, limit)
+        acc[0] = (acc[0] + c) % m
+    return acc
+
+
 def commutant_recursion_mod(fcoeffs, d1, p, N, K):
     """The integral torsion recursion with both sides recomposed in full
     at every step: the numerator at degree n = k+1 is read off

@@ -130,6 +130,30 @@ def test_exit_one_on_non_integer_field(payload):
     assert parse(proc)["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("wideg", {"series": {"binom": True, "ring": "residue"}}),
+    ("wideg", {"series": {"binom": 3, "ring": "residue", "iterate": True}}),
+    ("torsion-check", {"f": [2, 1], "min_output_precision": True}),
+    ("ramification", {"omega": {"binom": 5, "ring": "residue"}, "n_max": True}),
+    ("order", {"omega": {"binom": 5, "ring": "residue"}, "d_max": True}),
+    ("normalizer", {"theta": {"binom": 3, "ring": "residue"},
+                    "omega": {"binom": 5, "ring": "residue"}, "m": True}),
+    ("lambda-check", {"f": {"binom": 2}, "u": {"binom": 3}, "n": True}),
+    ("lambda-check", {"f": {"binom": 2}, "u": {"binom": 3}, "n": 2, "delta": True}),
+    ("gen-pair", {"kind": "conjugated", "seed": True}),
+    ("validate-pair", {"f": {"binom": 2}, "u": {"binom": 3}, "commute_mod": True}),
+    ("zp-iterate", {"omega": {"binom": 5, "ring": "residue"}, "a": True, "m": 2}),
+    ("zp-iterate", {"omega": {"binom": 5, "ring": "residue"}, "a": 3, "m": True}),
+])
+def test_exit_one_on_boolean_integer_field(command, payload):
+    # true is not the integer 1: every payload integer is read by one
+    # reader that refuses bool
+    proc = run_cli(command, "--p", "2", "--N", "16", "--K", "8",
+                   "--json", json.dumps(payload))
+    assert proc.returncode == 1
+    assert parse(proc)["error"]["code"] == "input"
+
+
 def test_exit_two_on_precision_failure():
     payload = '{"omega": {"binom": 5, "ring": "residue"}, "a": 5, "m": 2}'
     proc = run_cli("zp-iterate", "--p", "2", "--N", "4", "--K", "16",
